@@ -39,13 +39,7 @@ void BlockingCc::ExecuteSp(FragmentRequest& f) {
     part_->Send(f.coordinator, resp);
     return;
   }
-  part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-  ReplicaShip ship;
-  ship.txn_id = f.txn_id;
-  ship.outcome_known = true;
-  ship.args = f.args;
-  ship.round_inputs = {f.round_input};
-  part_->SendDurable(f.coordinator, resp, std::move(ship));
+  part_->Commit(CommitView::Of(f), f.coordinator, std::move(resp));
 }
 
 void BlockingCc::StartMp(FragmentRequest& f) {
@@ -81,13 +75,7 @@ void BlockingCc::RespondMp(const FragmentRequest& f, const ExecResult& r) {
   resp.result = r.result;
   resp.vote = r.aborted ? Vote::kAbort : (f.last_round ? Vote::kCommit : Vote::kNone);
   if (f.last_round && !r.aborted) {
-    part_->Charge(part_->cost().twopc_vote);
-    ReplicaShip ship;
-    ship.txn_id = f.txn_id;
-    ship.outcome_known = false;
-    ship.args = active_->args;
-    ship.round_inputs = active_->round_inputs;
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->Prepare(active_->record(), f.coordinator, std::move(resp));
     return;
   }
   part_->Send(f.coordinator, resp);
@@ -99,13 +87,12 @@ void BlockingCc::OnDecision(const DecisionMessage& d) {
   if (d.commit) {
     PARTDB_CHECK(!active_->aborted_locally);
     active_->undo.Clear();
-    part_->LogCommit(active_->id, true, active_->proc, active_->args, active_->round_inputs);
-    part_->ShipDecision(active_->id, true);
+    part_->Commit(active_->record());
   } else {
     ++epoch_;
     part_->ChargeUndo(active_->undo.size());
     active_->undo.Rollback();
-    part_->ShipDecision(active_->id, false);
+    if (active_->finished && !active_->aborted_locally) part_->Abort(active_->record());
   }
   active_.reset();
   Drain();

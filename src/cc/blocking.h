@@ -31,6 +31,8 @@ class BlockingCc : public CcScheme {
     UndoBuffer undo;
     bool finished = false;         // last fragment executed (vote sent)
     bool aborted_locally = false;  // user abort during a fragment
+
+    CommitView record() const { return {id, true, proc, args, round_inputs}; }
   };
 
   void Dispatch(FragmentRequest& f);

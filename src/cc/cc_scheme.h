@@ -41,25 +41,31 @@ class PartitionExec {
   /// Sends a message at the current virtual instant.
   virtual void Send(NodeId dst, MessageBody body) = 0;
 
-  /// Sends a message once `ship` has been acknowledged by all backups
-  /// (immediately when replication is off). Used for 2PC votes and client
-  /// responses that must be durable first (paper §3.2/§3.3).
-  virtual void SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) = 0;
-
-  /// Tells backups the outcome of a previously shipped transaction.
-  virtual void ShipDecision(TxnId txn, bool commit) = 0;
-
   /// Delivers a TimerFire to this partition after `d` ns.
   virtual void SetTimer(Duration d, TimerFire t) = 0;
 
-  /// Records a committed transaction: in the test-only commit log (for
-  /// serializability checking, no cost) and in the partition's command log
-  /// when durability is on. `proc` is the registry id of the stored
-  /// procedure, stamped into the durable record so recovery can re-resolve
-  /// it by name.
-  virtual void LogCommit(TxnId id, bool multi_partition, ProcId proc,
-                         const PayloadPtr& args,
-                         const std::vector<PayloadPtr>& round_inputs) = 0;
+  // Commit points. A scheme emits every transaction it commits through
+  // exactly these calls, in local commit order; the partition fans the
+  // record out to its sinks (backups, command log, replay log) and releases
+  // the message a call gates only once the record is durable on the
+  // backups (paper §3.2/§3.3). Aborted work that never prepared emits
+  // nothing: it leaves through Send.
+
+  /// A multi-partition transaction votes commit: charges the vote, ships the
+  /// record to the backups, and sends `vote` to `dst` once they have it.
+  virtual void Prepare(const CommitView& rec, NodeId dst, FragmentResponse vote) = 0;
+
+  /// A single-partition transaction commits: logs the record, ships it, and
+  /// sends `result` to `dst` once the backups have it.
+  virtual void Commit(const CommitView& rec, NodeId dst, ClientResponse result) = 0;
+
+  /// A prepared multi-partition transaction's commit decision: logs the
+  /// record and tells the backups.
+  virtual void Commit(const CommitView& rec) = 0;
+
+  /// A prepared multi-partition transaction's abort decision: tells the
+  /// backups to drop the record.
+  virtual void Abort(const CommitView& rec) = 0;
 
   virtual Engine& engine() = 0;
   virtual const CostModel& cost() const = 0;

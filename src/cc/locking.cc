@@ -50,13 +50,7 @@ void LockingCc::FastPathSp(FragmentRequest& f) {
     part_->Send(f.coordinator, resp);
     return;
   }
-  part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-  ReplicaShip ship;
-  ship.txn_id = f.txn_id;
-  ship.outcome_known = true;
-  ship.args = f.args;
-  ship.round_inputs = {f.round_input};
-  part_->SendDurable(f.coordinator, resp, std::move(ship));
+  part_->Commit(CommitView::Of(f), f.coordinator, std::move(resp));
 }
 
 void LockingCc::BeginFragment(LTxn* t, FragmentRequest f) {
@@ -212,13 +206,7 @@ void LockingCc::ExecutePending(LTxn* t) {
       part_->Send(f.coordinator, resp);
     } else {
       t->undo.Clear();
-      part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-      ReplicaShip ship;
-      ship.txn_id = f.txn_id;
-      ship.outcome_known = true;
-      ship.args = f.args;
-      ship.round_inputs = {f.round_input};
-      part_->SendDurable(f.coordinator, resp, std::move(ship));
+      part_->Commit(CommitView::Of(f), f.coordinator, std::move(resp));
     }
     FinishTxn(t);
     return;
@@ -242,13 +230,7 @@ void LockingCc::ExecutePending(LTxn* t) {
   }
   if (f.last_round) {
     t->prepared = true;
-    part_->Charge(part_->cost().twopc_vote);
-    ReplicaShip ship;
-    ship.txn_id = t->id;
-    ship.outcome_known = false;
-    ship.args = t->args;
-    ship.round_inputs = t->round_inputs;
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->Prepare(t->record(), f.coordinator, std::move(resp));
   } else {
     part_->Send(f.coordinator, resp);
   }
@@ -280,12 +262,11 @@ void LockingCc::OnDecision(const DecisionMessage& d) {
   }
   if (d.commit) {
     t->undo.Clear();
-    part_->LogCommit(t->id, true, t->proc, t->args, t->round_inputs);
-    part_->ShipDecision(t->id, true);
+    part_->Commit(t->record());
   } else {
     part_->ChargeUndo(t->undo.size());
     t->undo.Rollback();
-    part_->ShipDecision(t->id, false);
+    part_->Abort(t->record());
   }
   FinishTxn(t);
 }

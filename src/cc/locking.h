@@ -51,6 +51,8 @@ class LockingCc : public CcScheme {
     bool has_pending = false;
     bool prepared = false;  // voted commit; waiting for the 2PC decision
     uint64_t wait_generation = 0;
+
+    CommitView record() const { return {id, mp, proc, args, round_inputs}; }
   };
 
   void FastPathSp(FragmentRequest& f);

@@ -20,7 +20,7 @@ void MvccCc::OnFragment(FragmentRequest frag) {
 
   if (!pending_.has_value()) {
     PARTDB_DCHECK(waiting_.empty());
-    ExecuteSp(frag);
+    ExecuteSpAt(frag, /*on_snapshot=*/false);
     return;
   }
 
@@ -64,30 +64,6 @@ void MvccCc::AccumulateMpAccess(const FragmentRequest& f) {
   part_->ChargeLockWork(tracking);
 }
 
-void MvccCc::ExecuteSp(FragmentRequest& f) {
-  UndoBuffer undo;
-  ExecResult r = part_->RunFragment(f, f.can_abort ? &undo : nullptr);
-  ClientResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.committed = !r.aborted;
-  resp.result = r.result;
-  if (r.aborted) {
-    part_->ChargeUndo(undo.size());
-    undo.Rollback();
-    part_->Send(f.coordinator, resp);
-    return;
-  }
-  ++commit_ts_;
-  part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-  ReplicaShip ship;
-  ship.txn_id = f.txn_id;
-  ship.outcome_known = true;
-  ship.args = f.args;
-  ship.round_inputs = {f.round_input};
-  part_->SendDurable(f.coordinator, resp, std::move(ship));
-}
-
 void MvccCc::ExecuteSpAt(FragmentRequest& f, bool on_snapshot) {
   if (on_snapshot) {
     // Lift the pending version chain off the store: what remains is the
@@ -100,9 +76,6 @@ void MvccCc::ExecuteSpAt(FragmentRequest& f, bool on_snapshot) {
   if (r.aborted) {
     part_->ChargeUndo(undo.size());
     undo.Rollback();
-  } else {
-    ++commit_ts_;
-    part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
   }
   if (on_snapshot) {
     pending_->versions.Reinstall();
@@ -119,12 +92,8 @@ void MvccCc::ExecuteSpAt(FragmentRequest& f, bool on_snapshot) {
     part_->Send(f.coordinator, resp);
     return;
   }
-  ReplicaShip ship;
-  ship.txn_id = f.txn_id;
-  ship.outcome_known = true;
-  ship.args = f.args;
-  ship.round_inputs = {f.round_input};
-  part_->SendDurable(f.coordinator, resp, std::move(ship));
+  ++commit_ts_;
+  part_->Commit(CommitView::Of(f), f.coordinator, std::move(resp));
 }
 
 void MvccCc::StartMp(FragmentRequest& f) {
@@ -164,13 +133,7 @@ void MvccCc::RespondMp(const FragmentRequest& f, const ExecResult& r) {
   resp.result = r.result;
   resp.vote = r.aborted ? Vote::kAbort : (f.last_round ? Vote::kCommit : Vote::kNone);
   if (f.last_round && !r.aborted) {
-    part_->Charge(part_->cost().twopc_vote);
-    ReplicaShip ship;
-    ship.txn_id = f.txn_id;
-    ship.outcome_known = false;
-    ship.args = pending_->args;
-    ship.round_inputs = pending_->round_inputs;
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->Prepare(pending_->record(), f.coordinator, std::move(resp));
     return;
   }
   part_->Send(f.coordinator, resp);
@@ -186,13 +149,12 @@ void MvccCc::OnDecision(const DecisionMessage& d) {
     // 2PC window).
     pending_->versions.Clear();
     ++commit_ts_;
-    part_->LogCommit(pending_->id, true, pending_->proc, pending_->args, pending_->round_inputs);
-    part_->ShipDecision(pending_->id, true);
+    part_->Commit(pending_->record());
   } else {
     ++epoch_;
     part_->ChargeUndo(pending_->versions.size());
     pending_->versions.Rollback();  // unlink the pending versions
-    part_->ShipDecision(pending_->id, false);
+    if (pending_->finished && !pending_->aborted_locally) part_->Abort(pending_->record());
   }
   pending_.reset();
   Drain();
@@ -217,7 +179,7 @@ void MvccCc::Drain() {
     if (f.multi_partition) {
       StartMp(f);
     } else {
-      ExecuteSp(f);
+      ExecuteSpAt(f, /*on_snapshot=*/false);
     }
   }
 }

@@ -75,13 +75,13 @@ class MvccCc : public CcScheme {
     /// Declared access set (lock ids), accumulated over executed rounds.
     std::unordered_set<uint64_t> accesses;
     std::unordered_set<uint64_t> writes;  // exclusive subset of `accesses`
+
+    CommitView record() const { return {id, true, proc, args, round_inputs}; }
   };
 
-  /// Fast path, nothing pending: identical to blocking's single-partition
-  /// execution (no version machinery, no lock-set work).
-  void ExecuteSp(FragmentRequest& f);
-  /// Runs an SP that was classified against the pending MP; `on_snapshot`
-  /// lifts the pending versions around the execution.
+  /// Runs a single-partition transaction; `on_snapshot` lifts the pending
+  /// MP's versions around the execution. With nothing pending (or nothing
+  /// to lift) this is blocking's single-partition execution.
   void ExecuteSpAt(FragmentRequest& f, bool on_snapshot);
   void StartMp(FragmentRequest& f);
   void ContinueMp(FragmentRequest& f);

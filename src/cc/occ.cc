@@ -61,13 +61,7 @@ void OccCc::ExecuteFresh(FragmentRequest& f) {
       part_->Send(f.coordinator, resp);
       return;
     }
-    part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-    ReplicaShip ship;
-    ship.txn_id = f.txn_id;
-    ship.outcome_known = true;
-    ship.args = f.args;
-    ship.round_inputs = {f.round_input};
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->Commit(CommitView::Of(f), f.coordinator, std::move(resp));
     return;
   }
   auto t = std::make_unique<Txn>();
@@ -96,18 +90,16 @@ void OccCc::SpeculateSp(FragmentRequest& f) {
   ExecResult r = part_->RunFragment(f, &t->undo);
   if (part_->metrics().recording) part_->metrics().speculative_execs++;
   t->finished = true;
-  ClientResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.committed = !r.aborted;
-  resp.result = r.result;
+  t->result.txn_id = f.txn_id;
+  t->result.attempt = f.attempt;
+  t->result.committed = !r.aborted;
+  t->result.result = r.result;
   if (r.aborted) {
     t->aborted_locally = true;
     part_->ChargeUndo(t->undo.size());
     t->undo.Rollback();
     t->undo_applied = true;
   }
-  t->held.emplace_back(f.coordinator, resp);
   uncommitted_.push_back(std::move(t));
 }
 
@@ -154,20 +146,10 @@ void OccCc::RunMpFragment(Txn& t, FragmentRequest& f, TxnId dep) {
   t.last_response = resp;
   t.has_response = true;
   if (f.last_round && !r.aborted) {
-    part_->Charge(part_->cost().twopc_vote);
-    part_->SendDurable(t.coord, resp, ShipFor(t));
+    part_->Prepare(t.record(), t.coord, std::move(resp));
     return;
   }
   part_->Send(t.coord, resp);
-}
-
-ReplicaShip OccCc::ShipFor(const Txn& t) const {
-  ReplicaShip ship;
-  ship.txn_id = t.id;
-  ship.outcome_known = !t.mp;
-  ship.args = t.args;
-  ship.round_inputs = t.round_inputs;
-  return ship;
 }
 
 TxnId OccCc::LastMpId() const {
@@ -186,8 +168,7 @@ void OccCc::OnDecision(const DecisionMessage& d) {
   if (d.commit) {
     PARTDB_CHECK(head->finished && !head->aborted_locally);
     head->undo.Clear();
-    part_->LogCommit(head->id, true, head->proc, head->args, head->round_inputs);
-    part_->ShipDecision(head->id, true);
+    part_->Commit(head->record());
     uncommitted_.pop_front();
     ReleaseCommittedSp();
     DrainQueue();
@@ -250,7 +231,7 @@ void OccCc::OnDecision(const DecisionMessage& d) {
     part_->ChargeUndo(h->undo.size());
     h->undo.Rollback();
   }
-  part_->ShipDecision(h->id, false);
+  if (h->finished && !h->aborted_locally) part_->Abort(h->record());
 
   // Requeue invalidated transactions for re-execution, preserving order.
   for (auto it = invalid.rbegin(); it != invalid.rend(); ++it) {
@@ -289,13 +270,10 @@ void OccCc::ReleaseCommittedSp() {
     Txn* t = uncommitted_.front().get();
     PARTDB_CHECK(t->finished);
     if (t->aborted_locally) {
-      for (auto& [dst, body] : t->held) part_->Send(dst, std::move(body));
+      part_->Send(t->coord, std::move(t->result));
     } else {
       t->undo.Clear();
-      part_->LogCommit(t->id, false, t->proc, t->args, t->round_inputs);
-      for (auto& [dst, body] : t->held) {
-        part_->SendDurable(dst, std::move(body), ShipFor(*t));
-      }
+      part_->Commit(t->record(), t->coord, std::move(t->result));
     }
     uncommitted_.pop_front();
   }

@@ -40,13 +40,15 @@ class OccCc : public CcScheme {
     bool finished = false;
     bool aborted_locally = false;
     bool undo_applied = false;
-    std::vector<std::pair<NodeId, MessageBody>> held;  // buffered SP results
+    ClientResponse result;  // a speculated SP's response, held until it commits
     // Access tracking (lock ids double as item ids).
     std::vector<uint64_t> reads;
     std::vector<uint64_t> writes;
     // Last vote sent, for cheap revalidated resends after an abort.
     FragmentResponse last_response;
     bool has_response = false;
+
+    CommitView record() const { return {id, mp, proc, args, round_inputs}; }
   };
   using TxnPtr = std::unique_ptr<Txn>;
 
@@ -59,7 +61,6 @@ class OccCc : public CcScheme {
   void DrainQueue();
   void ReleaseCommittedSp();
   TxnId LastMpId() const;
-  ReplicaShip ShipFor(const Txn& t) const;
 
   PartitionExec* part_;
   std::deque<FragmentRequest> unexecuted_;

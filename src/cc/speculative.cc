@@ -32,7 +32,7 @@ void SpeculativeCc::RecycleTxn(TxnPtr t) {
   t->aborted_locally = false;
   t->undo_applied = false;
   t->speculative = false;
-  t->held.clear();
+  t->result = ClientResponse{};
   txn_pool_.push_back(std::move(t));
 }
 
@@ -84,13 +84,7 @@ void SpeculativeCc::ExecuteFresh(FragmentRequest& f) {
       part_->Send(f.coordinator, resp);
       return;
     }
-    part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-    ReplicaShip ship;
-    ship.txn_id = f.txn_id;
-    ship.outcome_known = true;
-    ship.args = f.args;
-    ship.round_inputs = {f.round_input};
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->Commit(CommitView::Of(f), f.coordinator, std::move(resp));
     return;
   }
   // New non-speculative head.
@@ -120,11 +114,10 @@ void SpeculativeCc::SpeculateSp(FragmentRequest& f) {
   if (part_->metrics().recording) part_->metrics().speculative_execs++;
   t->finished = true;
 
-  ClientResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.committed = !r.aborted;
-  resp.result = r.result;
+  t->result.txn_id = f.txn_id;
+  t->result.attempt = f.attempt;
+  t->result.committed = !r.aborted;
+  t->result.result = r.result;
   if (r.aborted) {
     // A self-aborting speculation must roll back immediately so later
     // speculations never observe its dirty writes.
@@ -134,8 +127,8 @@ void SpeculativeCc::SpeculateSp(FragmentRequest& f) {
     t->undo_applied = true;
   }
   // Results of speculated single-partition transactions cannot leave the
-  // database until every earlier transaction has committed (§4.2.1).
-  t->held.emplace_back(f.coordinator, resp);
+  // database until every earlier transaction has committed (§4.2.1), so
+  // t->result is held until ReleaseCommittedSp.
   uncommitted_.push_back(std::move(t));
 }
 
@@ -180,20 +173,10 @@ void SpeculativeCc::RunMpFragment(Txn& t, FragmentRequest& f, TxnId dep) {
   resp.result = r.result;
   resp.vote = r.aborted ? Vote::kAbort : (f.last_round ? Vote::kCommit : Vote::kNone);
   if (f.last_round && !r.aborted) {
-    part_->Charge(part_->cost().twopc_vote);
-    part_->SendDurable(t.coord, resp, ShipFor(t));
+    part_->Prepare(t.record(), t.coord, std::move(resp));
     return;
   }
   part_->Send(t.coord, resp);
-}
-
-ReplicaShip SpeculativeCc::ShipFor(const Txn& t) const {
-  ReplicaShip ship;
-  ship.txn_id = t.id;
-  ship.outcome_known = !t.mp;
-  ship.args = t.args;
-  ship.round_inputs = t.round_inputs;
-  return ship;
 }
 
 TxnId SpeculativeCc::LastMpId() const {
@@ -212,8 +195,7 @@ void SpeculativeCc::OnDecision(const DecisionMessage& d) {
   if (d.commit) {
     PARTDB_CHECK(head->finished && !head->aborted_locally);
     head->undo.Clear();
-    part_->LogCommit(head->id, true, head->proc, head->args, head->round_inputs);
-    part_->ShipDecision(head->id, true);
+    part_->Commit(head->record());
     RecycleTxn(std::move(uncommitted_.front()));
     uncommitted_.pop_front();
     ReleaseCommittedSp();
@@ -244,7 +226,7 @@ void SpeculativeCc::OnDecision(const DecisionMessage& d) {
       part_->ChargeUndo(h->undo.size());
       h->undo.Rollback();
     }
-    part_->ShipDecision(h->id, false);
+    if (h->finished && !h->aborted_locally) part_->Abort(h->record());
     RecycleTxn(std::move(h));
     // requeue holds [newest, ..., oldest]; push_front restores queue order.
     for (auto& f : requeue) unexecuted_.push_front(std::move(f));
@@ -259,13 +241,10 @@ void SpeculativeCc::ReleaseCommittedSp() {
     Txn* t = uncommitted_.front().get();
     PARTDB_CHECK(t->finished);
     if (t->aborted_locally) {
-      for (auto& [dst, body] : t->held) part_->Send(dst, std::move(body));
+      part_->Send(t->coord, std::move(t->result));
     } else {
       t->undo.Clear();
-      part_->LogCommit(t->id, false, t->proc, t->args, t->round_inputs);
-      for (auto& [dst, body] : t->held) {
-        part_->SendDurable(dst, std::move(body), ShipFor(*t));
-      }
+      part_->Commit(t->record(), t->coord, std::move(t->result));
     }
     RecycleTxn(std::move(uncommitted_.front()));
     uncommitted_.pop_front();

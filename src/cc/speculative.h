@@ -50,7 +50,9 @@ class SpeculativeCc : public CcScheme {
     bool aborted_locally = false;  // user abort during execution
     bool undo_applied = false;     // rollback already performed (SP self-abort)
     bool speculative = false;
-    std::vector<std::pair<NodeId, MessageBody>> held;  // buffered SP results
+    ClientResponse result;  // a speculated SP's response, held until it commits
+
+    CommitView record() const { return {id, mp, proc, args, round_inputs}; }
   };
   using TxnPtr = std::unique_ptr<Txn>;
 
@@ -69,7 +71,6 @@ class SpeculativeCc : public CcScheme {
   void DrainQueue();
   void ReleaseCommittedSp();
   TxnId LastMpId() const;  // most recent MP txn in the uncommitted queue
-  ReplicaShip ShipFor(const Txn& t) const;
 
   PartitionExec* part_;
   bool speculate_mp_;

@@ -81,7 +81,8 @@ struct DbOptions {
   /// then parallel log replay through the registered procedures.
   std::string log_dir;
   /// Group-commit window: how long the log writer holds a batch open after
-  /// its first record so concurrent commits share one fsync.
+  /// its first record so concurrent commits share one fsync. Used only by
+  /// kGroupCommit; kAsync ignores it and flushes whatever has accumulated.
   uint32_t group_commit_window_us = 200;
   /// Deterministic crash injection (tests): after this many records have
   /// been admitted across all logs, drop everything later and flip

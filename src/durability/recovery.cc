@@ -15,7 +15,7 @@
 
 #include "common/logging.h"
 #include "durability/log_format.h"
-#include "engine/work_meter.h"
+#include "engine/replay.h"
 
 namespace partdb {
 
@@ -325,14 +325,8 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
         }
         inputs.push_back(std::move(in));
       }
-      const int rounds = inputs.empty() ? 1 : static_cast<int>(inputs.size());
-      for (int r = 0; r < rounds; ++r) {
-        WorkMeter m;
-        const Payload* input =
-            r < static_cast<int>(inputs.size()) ? inputs[static_cast<size_t>(r)].get() : nullptr;
-        ExecResult res = engine.Execute(*s.args, r, input, nullptr, &m);
-        if (res.aborted) ++aborted[static_cast<size_t>(p)];
-      }
+      aborted[static_cast<size_t>(p)] +=
+          static_cast<uint64_t>(ReplayRecord(engine, *s.args, inputs));
       ++replayed[static_cast<size_t>(p)];
     }
   };

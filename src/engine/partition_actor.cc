@@ -75,38 +75,53 @@ void PartitionActor::Send(NodeId dst, MessageBody body) {
   ctx_->Send(dst, std::move(body));
 }
 
-void PartitionActor::SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) {
+void PartitionActor::SetTimer(Duration d, TimerFire t) {
+  PARTDB_CHECK(ctx_ != nullptr);
+  ctx_->SetTimer(d, t);
+}
+
+void PartitionActor::Prepare(const CommitView& rec, NodeId dst, FragmentResponse vote) {
+  PARTDB_DCHECK(rec.multi_partition);
+  Charge(cost_.twopc_vote);
+  SendAfterBackups(rec, dst, std::move(vote));
+}
+
+void PartitionActor::Commit(const CommitView& rec, NodeId dst, ClientResponse result) {
+  PARTDB_DCHECK(!rec.multi_partition);
+  Record(rec);
+  SendAfterBackups(rec, dst, std::move(result));
+}
+
+void PartitionActor::Commit(const CommitView& rec) {
+  PARTDB_DCHECK(rec.multi_partition);
+  Record(rec);
+  Decide(rec.txn_id, true);
+}
+
+void PartitionActor::Abort(const CommitView& rec) { Decide(rec.txn_id, false); }
+
+void PartitionActor::Record(const CommitView& rec) {
+  if (durability_log_ != nullptr) durability_log_->Append(rec);
+  if (log_commits_) commit_log_.push_back(rec.ToRecord());
+}
+
+void PartitionActor::SendAfterBackups(const CommitView& rec, NodeId dst, MessageBody body) {
   PARTDB_CHECK(ctx_ != nullptr);
   if (backups_.empty()) {
     ctx_->Send(dst, std::move(body));
     return;
   }
   const uint64_t seq = next_ship_seq_++;
-  ship.order_seq = seq;
+  const ReplicaShip ship{seq, rec.ToRecord()};
   for (NodeId b : backups_) ctx_->Send(b, ship);
   pending_durable_[seq] =
       PendingDurable{static_cast<int>(backups_.size()), dst, std::move(body)};
 }
 
-void PartitionActor::ShipDecision(TxnId txn, bool commit) {
+void PartitionActor::Decide(TxnId txn, bool commit) {
   if (backups_.empty()) return;
   PARTDB_CHECK(ctx_ != nullptr);
   for (NodeId b : backups_) ctx_->Send(b, ReplicaDecision{txn, commit});
-}
-
-void PartitionActor::SetTimer(Duration d, TimerFire t) {
-  PARTDB_CHECK(ctx_ != nullptr);
-  ctx_->SetTimer(d, t);
-}
-
-void PartitionActor::LogCommit(TxnId id, bool multi_partition, ProcId proc,
-                               const PayloadPtr& args,
-                               const std::vector<PayloadPtr>& round_inputs) {
-  if (durability_log_ != nullptr) {
-    durability_log_->Append(id, multi_partition, proc, args, round_inputs);
-  }
-  if (!log_commits_) return;
-  commit_log_.push_back(CommitRecord{id, multi_partition, proc, args, round_inputs});
 }
 
 }  // namespace partdb

@@ -1,6 +1,8 @@
 // PartitionActor: a primary partition process. Hosts the engine (real data),
 // the installed concurrency-control scheme, and primary-side replication.
-// Implements the PartitionExec services the schemes run against.
+// Implements the PartitionExec services the schemes run against, including
+// the commit points: it fans each emitted CommitRecord out to the backups,
+// the durable command log and the test-only replay log.
 #ifndef PARTDB_ENGINE_PARTITION_ACTOR_H_
 #define PARTDB_ENGINE_PARTITION_ACTOR_H_
 
@@ -15,17 +17,6 @@
 #include "runtime/metrics.h"
 
 namespace partdb {
-
-/// One committed transaction at this partition, in local commit order.
-/// Recorded only when commit logging is enabled (tests): replaying the log
-/// serially on a fresh engine must reproduce the partition state.
-struct CommitRecord {
-  TxnId txn_id = kInvalidTxn;
-  bool multi_partition = false;
-  ProcId proc = kInvalidProc;
-  PayloadPtr args;
-  std::vector<PayloadPtr> round_inputs;  // entry r = input for round r (null for 0)
-};
 
 class PartitionLog;
 
@@ -43,6 +34,8 @@ class PartitionActor : public Actor, public PartitionExec {
   /// Must be called once before the simulation starts.
   void InstallScheme(std::unique_ptr<CcScheme> scheme) { scheme_ = std::move(scheme); }
   void SetBackups(std::vector<NodeId> backups) { backups_ = std::move(backups); }
+  /// Keeps every committed record in commit_log(): replaying it serially on
+  /// a fresh engine must reproduce the partition state (tests, self-checks).
   void EnableCommitLog() { log_commits_ = true; }
   /// Routes every committed transaction into the durable command log
   /// (durability tier; `log` must outlive the actor).
@@ -58,24 +51,29 @@ class PartitionActor : public Actor, public PartitionExec {
   void ChargeLockWork(const WorkMeter& m) override;
   void ChargeUndo(size_t records) override;
   void Send(NodeId dst, MessageBody body) override;
-  void SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) override;
-  void ShipDecision(TxnId txn, bool commit) override;
   void SetTimer(Duration d, TimerFire t) override;
+  void Prepare(const CommitView& rec, NodeId dst, FragmentResponse vote) override;
+  void Commit(const CommitView& rec, NodeId dst, ClientResponse result) override;
+  void Commit(const CommitView& rec) override;
+  void Abort(const CommitView& rec) override;
   Engine& engine() override { return *engine_; }
   const CostModel& cost() const override { return cost_; }
   Metrics& metrics() override { return *metrics_; }
   PartitionId partition_id() const override { return pid_; }
   Duration lock_timeout() const override { return lock_timeout_; }
 
-  /// Appends to the durable command log (when installed) and the test-only
-  /// commit log (when enabled; no cost — diagnostic machinery).
-  void LogCommit(TxnId id, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                 const std::vector<PayloadPtr>& round_inputs) override;
-
  protected:
   void OnMessage(Message& msg, ActorContext& ctx) override;
 
  private:
+  /// Appends a committed record to the command log and the replay log.
+  void Record(const CommitView& rec);
+  /// Sends `body` to `dst` once every backup has acked `rec` (at once when
+  /// there are no backups).
+  void SendAfterBackups(const CommitView& rec, NodeId dst, MessageBody body);
+  /// Tells every backup the outcome of a shipped multi-partition record.
+  void Decide(TxnId txn, bool commit);
+
   struct PendingDurable {
     int acks_remaining = 0;
     NodeId dst = kInvalidNode;

@@ -1,15 +1,42 @@
-// Serial replay of a partition's commit log (final-state serializability
-// checking). Shared by the test suite and the self-verifying benches.
+// Re-execution of committed records: the one round loop behind backup
+// apply, serial replay of a partition's commit log (final-state
+// serializability checking, shared by the test suite and the self-verifying
+// benches) and command-log recovery.
 #ifndef PARTDB_ENGINE_REPLAY_H_
 #define PARTDB_ENGINE_REPLAY_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "engine/engine.h"
-#include "engine/partition_actor.h"
+#include "msg/message.h"
 
 namespace partdb {
+
+/// Re-executes one committed record on `engine` without undo: every round in
+/// order, round r with input r (absent inputs are null; a record with no
+/// inputs runs round 0 only). Calls `on_round(work)` after each round and
+/// returns how many rounds user-aborted — for a committed record, a
+/// violation.
+template <typename OnRound>
+int ReplayRecord(Engine& engine, const Payload& args, std::span<const PayloadPtr> round_inputs,
+                 OnRound&& on_round) {
+  const size_t rounds = round_inputs.empty() ? 1 : round_inputs.size();
+  int aborted = 0;
+  for (size_t r = 0; r < rounds; ++r) {
+    WorkMeter m;
+    const Payload* input = r < round_inputs.size() ? round_inputs[r].get() : nullptr;
+    if (engine.Execute(args, static_cast<int>(r), input, nullptr, &m).aborted) ++aborted;
+    on_round(m);
+  }
+  return aborted;
+}
+
+inline int ReplayRecord(Engine& engine, const Payload& args,
+                        std::span<const PayloadPtr> round_inputs) {
+  return ReplayRecord(engine, args, round_inputs, [](const WorkMeter&) {});
+}
 
 /// Replays a partition's committed transactions serially, in commit order,
 /// on a fresh engine built by `factory`, and returns the resulting state
@@ -22,15 +49,7 @@ inline uint64_t ReplayStateHash(const EngineFactory& factory, PartitionId pid,
   std::unique_ptr<Engine> engine = factory(pid);
   size_t aborted = 0;
   for (const CommitRecord& rec : log) {
-    const int rounds =
-        rec.round_inputs.empty() ? 1 : static_cast<int>(rec.round_inputs.size());
-    for (int r = 0; r < rounds; ++r) {
-      WorkMeter m;
-      const Payload* input =
-          r < static_cast<int>(rec.round_inputs.size()) ? rec.round_inputs[r].get() : nullptr;
-      ExecResult res = engine->Execute(*rec.args, r, input, nullptr, &m);
-      if (res.aborted) ++aborted;
-    }
+    aborted += static_cast<size_t>(ReplayRecord(*engine, *rec.args, rec.round_inputs));
   }
   if (aborted_replays != nullptr) *aborted_replays = aborted;
   return engine->StateHash();

@@ -1,8 +1,8 @@
 // Primary/backup replication (paper §2.2, §3.2): a transaction is durable
-// once all k replicas have received it. The primary ships transactions in
-// commit order; votes and single-partition results are gated on backup acks.
-// Backups can optionally re-execute shipped transactions against their own
-// engine so tests can verify replica state convergence.
+// once all k replicas have received it. The primary ships each CommitRecord
+// of its commit stream in commit order; votes and single-partition results
+// are gated on backup acks. Backups can optionally re-execute shipped records
+// against their own engine so tests can verify replica state convergence.
 #ifndef PARTDB_ENGINE_REPLICATION_H_
 #define PARTDB_ENGINE_REPLICATION_H_
 
@@ -34,14 +34,14 @@ class BackupActor : public Actor {
   void OnMessage(Message& msg, ActorContext& ctx) override;
 
  private:
-  void Apply(const ReplicaShip& ship, ActorContext& ctx);
+  void Apply(const CommitRecord& rec, ActorContext& ctx);
 
   PartitionId pid_;
   std::unique_ptr<Engine> engine_;
   CostModel cost_;
   bool execute_;
-  // MP transactions shipped at vote time, awaiting their outcome.
-  std::unordered_map<TxnId, ReplicaShip> pending_;
+  // MP records shipped at vote time, awaiting their outcome.
+  std::unordered_map<TxnId, CommitRecord> pending_;
 };
 
 }  // namespace partdb

@@ -4,6 +4,7 @@
 #define PARTDB_MSG_MESSAGE_H_
 
 #include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -77,13 +78,43 @@ struct ClientResponse {
   PayloadPtr result;
 };
 
+/// One transaction at one partition, as its commit stream carries it: the
+/// stored-procedure invocation that backups re-execute (paper §2.2/§3.2),
+/// the command log stores and the replay checker replays, in local commit
+/// order.
+struct CommitRecord {
+  TxnId txn_id = kInvalidTxn;
+  bool multi_partition = false;
+  ProcId proc = kInvalidProc;  // registry id, resolved by name on recovery
+  PayloadPtr args;
+  std::vector<PayloadPtr> round_inputs;  // entry r = input for round r (null for 0)
+};
+
+/// A non-owning view of a CommitRecord: what a scheme hands to a commit
+/// point (PartitionExec::Prepare/Commit/Abort). Only a sink that keeps the
+/// record copies it.
+struct CommitView {
+  TxnId txn_id = kInvalidTxn;
+  bool multi_partition = false;
+  ProcId proc = kInvalidProc;
+  const PayloadPtr& args;
+  std::span<const PayloadPtr> round_inputs;
+
+  /// The record of a single-round, single-partition fragment.
+  static CommitView Of(const FragmentRequest& f) {
+    return {f.txn_id, false, f.proc, f.args, {&f.round_input, 1}};
+  }
+  CommitRecord ToRecord() const {
+    return {txn_id, multi_partition, proc, args, {round_inputs.begin(), round_inputs.end()}};
+  }
+};
+
 /// Primary -> backup: ship one transaction for durability (paper 2.2/3.2).
+/// Single-partition records ship committed; multi-partition ones ship at the
+/// vote and wait for a ReplicaDecision.
 struct ReplicaShip {
   uint64_t order_seq = 0;
-  TxnId txn_id = kInvalidTxn;
-  bool outcome_known = true;  // SP txns ship committed; MP ship at vote time
-  PayloadPtr args;
-  std::vector<PayloadPtr> round_inputs;
+  CommitRecord record;
 };
 
 /// Primary -> backup: outcome for a previously shipped MP transaction.

@@ -7,6 +7,7 @@
 
 #include "cc/blocking.h"
 #include "cc/locking.h"
+#include "cc/scheme_registry.h"
 #include "cc/speculative.h"
 #include "fake_partition.h"
 #include "gtest/gtest.h"
@@ -80,7 +81,7 @@ TEST(BlockingScheme, SpExecutesImmediatelyWhenIdle) {
   EXPECT_TRUE(resp[0].committed);
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);
   EXPECT_TRUE(cc.Idle());
-  ASSERT_EQ(part.log.size(), 1u);  // committed SP logged
+  ASSERT_EQ(part.Committed().size(), 1u);  // committed SP logged
 }
 
 TEST(BlockingScheme, QueuesEverythingBehindActiveMp) {
@@ -112,7 +113,7 @@ TEST(BlockingScheme, AbortDecisionRollsBack) {
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);  // dirty
   cc.OnDecision(DecisionMessage{10, 0, false});
   EXPECT_EQ(ValueOf(part, 0, 0), 0u);  // undone
-  EXPECT_TRUE(part.log.empty());
+  EXPECT_TRUE(part.Committed().empty());
   EXPECT_TRUE(cc.Idle());
 }
 
@@ -140,7 +141,7 @@ TEST(BlockingScheme, SpUserAbortRepliesNotCommitted) {
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_FALSE(resp[0].committed);
   EXPECT_EQ(ValueOf(part, 0, 0), 0u);
-  EXPECT_TRUE(part.log.empty());
+  EXPECT_TRUE(part.Committed().empty());
 }
 
 // ----------------------------------------------------------- Speculation --
@@ -171,9 +172,9 @@ TEST(SpeculativeScheme, Paper421_SpSpeculationCommit) {
   EXPECT_EQ(PayloadCast<KvResult>(*resp[1].result).values[0], 2u);
   EXPECT_TRUE(cc.Idle());
   // Commit order: A, B1, B2.
-  ASSERT_EQ(part.log.size(), 3u);
-  EXPECT_EQ(part.log[0].txn_id, 100u);
-  EXPECT_EQ(part.log[2].txn_id, 102u);
+  ASSERT_EQ(part.Committed().size(), 3u);
+  EXPECT_EQ(part.Committed()[0].txn_id, 100u);
+  EXPECT_EQ(part.Committed()[2].txn_id, 102u);
 }
 
 // Paper §4.2.1, abort path: "each transaction is removed from the tail of
@@ -199,8 +200,8 @@ TEST(SpeculativeScheme, Paper421_AbortCascadesAndReexecutes) {
   EXPECT_EQ(part.metrics().cascading_reexecs, 2u);
   EXPECT_TRUE(cc.Idle());
   // A is not in the commit log.
-  ASSERT_EQ(part.log.size(), 2u);
-  EXPECT_EQ(part.log[0].txn_id, 101u);
+  ASSERT_EQ(part.Committed().size(), 2u);
+  EXPECT_EQ(part.Committed()[0].txn_id, 101u);
 }
 
 // Paper §4.2.2: A, B1, C, B2 where C is multi-partition. C's fragment result
@@ -259,8 +260,8 @@ TEST(SpeculativeScheme, Paper422_AbortInvalidatesSpeculativeVote) {
 
   cc.OnDecision(DecisionMessage{102, 0, true});
   EXPECT_TRUE(cc.Idle());
-  ASSERT_EQ(part.log.size(), 1u);
-  EXPECT_EQ(part.log[0].txn_id, 102u);
+  ASSERT_EQ(part.Committed().size(), 1u);
+  EXPECT_EQ(part.Committed()[0].txn_id, 102u);
 }
 
 TEST(SpeculativeScheme, SelfAbortingSpSpeculationRollsBackImmediately) {
@@ -307,9 +308,9 @@ TEST(SpeculativeScheme, MultiRoundHeadBlocksSpeculationUntilFinished) {
 
   cc.OnDecision(DecisionMessage{100, 0, true});
   EXPECT_TRUE(cc.Idle());
-  ASSERT_EQ(part.log.size(), 2u);
-  EXPECT_EQ(part.log[0].txn_id, 100u);
-  ASSERT_EQ(part.log[0].round_inputs.size(), 2u);  // both rounds recorded
+  ASSERT_EQ(part.Committed().size(), 2u);
+  EXPECT_EQ(part.Committed()[0].txn_id, 100u);
+  ASSERT_EQ(part.Committed()[0].round_inputs.size(), 2u);  // both rounds recorded
 }
 
 TEST(SpeculativeScheme, LocalOnlyModeQueuesMpInsteadOfSpeculating) {
@@ -391,8 +392,8 @@ TEST(LockingScheme, AbortDecisionRollsBackAndReleases) {
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], 0u);
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);
-  ASSERT_EQ(part.log.size(), 1u);
-  EXPECT_EQ(part.log[0].txn_id, 11u);
+  ASSERT_EQ(part.Committed().size(), 1u);
+  EXPECT_EQ(part.Committed()[0].txn_id, 11u);
 }
 
 TEST(LockingScheme, DistributedDeadlockTimeoutVotesSystemAbort) {
@@ -533,6 +534,143 @@ TEST(LockingScheme, LocalDeadlockBetweenTwoTxnsResolved) {
   EXPECT_EQ(ValueOf(part, 0, 0), 2u);
   EXPECT_EQ(ValueOf(part, 0, 1), 2u);
 }
+
+// ------------------------------------------------- Commit-stream contract --
+//
+// Every registered scheme emits each transaction through the commit points
+// only: a committed SP is one commit event that releases its response; a
+// user-aborted SP emits nothing; an MP is one prepare event that releases
+// its commit vote, then one commit or abort event on the decision.
+
+using Kind = FakePartition::CommitEvent::Kind;
+
+class CommitStream : public ::testing::TestWithParam<std::string> {
+ protected:
+  FakePartition part{0, MakeEngine(0)};
+  std::unique_ptr<CcScheme> cc = CcSchemeRegistry::Global().Make(GetParam(), &part);
+};
+
+TEST_P(CommitStream, CommittedSpEmitsOneCommitReleasingItsResponse) {
+  FragmentRequest f = SpFrag(1, SpArgs(0, 0));
+  f.round_input = std::make_shared<KvRoundInput>();
+  const PayloadPtr args = f.args;
+  const PayloadPtr input = f.round_input;
+  cc->OnFragment(std::move(f));
+
+  ASSERT_EQ(part.events.size(), 1u);
+  const FakePartition::CommitEvent& e = part.events[0];
+  EXPECT_EQ(e.kind, Kind::kCommit);
+  EXPECT_EQ(e.record.txn_id, 1u);
+  EXPECT_FALSE(e.record.multi_partition);
+  EXPECT_EQ(e.record.args, args);
+  ASSERT_EQ(e.record.round_inputs.size(), 1u);
+  EXPECT_EQ(e.record.round_inputs[0], input);
+  ASSERT_TRUE(e.released.has_value());
+  const auto* resp = std::get_if<ClientResponse>(&*e.released);
+  ASSERT_NE(resp, nullptr);
+  EXPECT_EQ(resp->txn_id, 1u);
+  EXPECT_TRUE(resp->committed);
+  EXPECT_EQ(part.sent.size(), 1u);  // nothing leaves beside the gated response
+}
+
+TEST_P(CommitStream, UserAbortedSpEmitsNothing) {
+  auto args = std::make_shared<KvArgs>();
+  args->keys.resize(1);
+  args->keys[0].push_back(MicrobenchKey(0, 0, 0));
+  args->abort_txn = true;
+  cc->OnFragment(SpFrag(1, args, /*can_abort=*/true));
+
+  EXPECT_TRUE(part.events.empty());
+  auto resp = part.Bodies<ClientResponse>();
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_FALSE(resp[0].committed);
+}
+
+TEST_P(CommitStream, MpPreparesWithItsVoteThenCommitsOrAborts) {
+  // Two rounds: round 0 answers with a plain Send; the last round's vote is
+  // released by the prepare, whose record carries every round's input.
+  auto args = std::make_shared<KvArgs>();
+  args->keys.resize(1);
+  args->keys[0].push_back(MicrobenchKey(0, 0, 0));
+  args->rounds = 2;
+  cc->OnFragment(MpFrag(10, args, /*last=*/false, /*round=*/0));
+  EXPECT_TRUE(part.events.empty());
+  auto input = std::make_shared<KvRoundInput>();
+  input->values.push_back({0});
+  FragmentRequest r1 = MpFrag(10, args, /*last=*/true, /*round=*/1);
+  r1.round_input = input;
+  cc->OnFragment(std::move(r1));
+
+  ASSERT_EQ(part.events.size(), 1u);
+  const FakePartition::CommitEvent& prepare = part.events[0];
+  EXPECT_EQ(prepare.kind, Kind::kPrepare);
+  EXPECT_EQ(prepare.record.txn_id, 10u);
+  EXPECT_TRUE(prepare.record.multi_partition);
+  ASSERT_EQ(prepare.record.round_inputs.size(), 2u);
+  EXPECT_EQ(prepare.record.round_inputs[0], nullptr);
+  EXPECT_EQ(prepare.record.round_inputs[1], input);
+  ASSERT_TRUE(prepare.released.has_value());
+  const auto* vote = std::get_if<FragmentResponse>(&*prepare.released);
+  ASSERT_NE(vote, nullptr);
+  EXPECT_EQ(vote->round, 1);
+  EXPECT_EQ(vote->vote, Vote::kCommit);
+
+  cc->OnDecision(DecisionMessage{10, 0, true});
+  ASSERT_EQ(part.events.size(), 2u);
+  EXPECT_EQ(part.events[1].kind, Kind::kCommit);
+  EXPECT_EQ(part.events[1].record.txn_id, 10u);
+  EXPECT_EQ(part.events[1].record.round_inputs.size(), 2u);
+  EXPECT_FALSE(part.events[1].released.has_value());
+
+  cc->OnFragment(MpFrag(11, MpArgs(0, 1)));
+  ASSERT_EQ(part.events.size(), 3u);
+  EXPECT_EQ(part.events[2].kind, Kind::kPrepare);
+  cc->OnDecision(DecisionMessage{11, 0, false});
+  ASSERT_EQ(part.events.size(), 4u);
+  EXPECT_EQ(part.events[3].kind, Kind::kAbort);
+  EXPECT_EQ(part.events[3].record.txn_id, 11u);
+  EXPECT_EQ(ValueOf(part, 0, 1), 0u);  // rolled back
+  EXPECT_TRUE(cc->Idle());
+}
+
+TEST_P(CommitStream, SpBehindPreparedMpCommitsOnceWithItsResponse) {
+  // Whether the SP runs at once (locking, mvcc), queues (blocking) or
+  // speculates (speculation, occ), its response leaves only with its commit.
+  cc->OnFragment(MpFrag(10, MpArgs(0, 0)));
+  cc->OnFragment(SpFrag(11, SpArgs(0, 1)));
+  cc->OnDecision(DecisionMessage{10, 0, true});
+  EXPECT_TRUE(cc->Idle());
+
+  int sp_commits = 0;
+  for (const FakePartition::CommitEvent& e : part.events) {
+    if (e.record.txn_id != 11) continue;
+    EXPECT_EQ(e.kind, Kind::kCommit);
+    ASSERT_TRUE(e.released.has_value());
+    const auto* resp = std::get_if<ClientResponse>(&*e.released);
+    ASSERT_NE(resp, nullptr);
+    EXPECT_TRUE(resp->committed);
+    ++sp_commits;
+  }
+  EXPECT_EQ(sp_commits, 1);
+  EXPECT_EQ(part.Bodies<ClientResponse>().size(), 1u);
+  EXPECT_EQ(part.Committed().size(), 2u);
+}
+
+TEST_P(CommitStream, MpVotingAbortEmitsNothing) {
+  cc->OnFragment(MpFrag(10, MpArgs(0, 0, /*abort_here=*/true)));
+  auto votes = part.Bodies<FragmentResponse>();
+  ASSERT_EQ(votes.size(), 1u);
+  EXPECT_EQ(votes[0].vote, Vote::kAbort);
+  cc->OnDecision(DecisionMessage{10, 0, false});
+  EXPECT_TRUE(part.events.empty());
+  EXPECT_TRUE(cc->Idle());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, CommitStream,
+                         ::testing::ValuesIn(CcSchemeRegistry::Global().Names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 }  // namespace
 }  // namespace partdb

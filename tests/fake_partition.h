@@ -1,16 +1,16 @@
 // A PartitionExec test double: runs fragments on a real engine synchronously
-// and captures every outbound message, timer, and commit-log entry so scheme
+// and captures every outbound message, timer, and commit-point call so scheme
 // behaviour can be asserted step by step.
 #ifndef PARTDB_TESTS_FAKE_PARTITION_H_
 #define PARTDB_TESTS_FAKE_PARTITION_H_
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "cc/cc_scheme.h"
 #include "engine/engine.h"
-#include "engine/partition_actor.h"  // CommitRecord
 
 namespace partdb {
 
@@ -25,12 +25,27 @@ class FakePartition : public PartitionExec {
     NodeId dst;
     MessageBody body;
   };
+  /// One commit-point call, in emission order. The message a call gates is
+  /// released at once (no backups) and also appended to `sent`.
+  struct CommitEvent {
+    enum class Kind { kPrepare, kCommit, kAbort };
+    Kind kind;
+    CommitRecord record;
+    std::optional<MessageBody> released;
+  };
   std::vector<Sent> sent;
-  std::vector<ReplicaShip> ships;
-  std::vector<std::pair<TxnId, bool>> decisions_shipped;
+  std::vector<CommitEvent> events;
   std::vector<std::pair<Duration, TimerFire>> timers;
-  std::vector<CommitRecord> log;
   Duration charged = 0;
+
+  /// The committed records (the command log's contents), in commit order.
+  std::vector<CommitRecord> Committed() const {
+    std::vector<CommitRecord> out;
+    for (const CommitEvent& e : events) {
+      if (e.kind == CommitEvent::Kind::kCommit) out.push_back(e.record);
+    }
+    return out;
+  }
 
   // Typed accessors over `sent`.
   template <typename T>
@@ -61,18 +76,16 @@ class FakePartition : public PartitionExec {
     charged += cost_.per_undo * static_cast<Duration>(records);
   }
   void Send(NodeId dst, MessageBody body) override { sent.push_back({dst, std::move(body)}); }
-  void SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) override {
-    ships.push_back(std::move(ship));
-    sent.push_back({dst, std::move(body)});
-  }
-  void ShipDecision(TxnId txn, bool commit) override {
-    decisions_shipped.emplace_back(txn, commit);
-  }
   void SetTimer(Duration d, TimerFire t) override { timers.emplace_back(d, t); }
-  void LogCommit(TxnId id, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                 const std::vector<PayloadPtr>& round_inputs) override {
-    log.push_back(CommitRecord{id, multi_partition, proc, args, round_inputs});
+  void Prepare(const CommitView& rec, NodeId dst, FragmentResponse vote) override {
+    charged += cost_.twopc_vote;
+    Emit(CommitEvent::Kind::kPrepare, rec, dst, std::move(vote));
   }
+  void Commit(const CommitView& rec, NodeId dst, ClientResponse result) override {
+    Emit(CommitEvent::Kind::kCommit, rec, dst, std::move(result));
+  }
+  void Commit(const CommitView& rec) override { Emit(CommitEvent::Kind::kCommit, rec); }
+  void Abort(const CommitView& rec) override { Emit(CommitEvent::Kind::kAbort, rec); }
   Engine& engine() override { return *engine_; }
   const CostModel& cost() const override { return cost_; }
   Metrics& metrics() override { return metrics_; }
@@ -80,6 +93,12 @@ class FakePartition : public PartitionExec {
   Duration lock_timeout() const override { return Micros(1000); }
 
  private:
+  void Emit(CommitEvent::Kind kind, const CommitView& rec, NodeId dst = kInvalidNode,
+            std::optional<MessageBody> gated = std::nullopt) {
+    if (gated.has_value()) sent.push_back({dst, *gated});
+    events.push_back({kind, rec.ToRecord(), std::move(gated)});
+  }
+
   PartitionId pid_;
   std::unique_ptr<Engine> engine_;
   CostModel cost_;

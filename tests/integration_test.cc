@@ -5,6 +5,7 @@
 // reproduces the live state) and cross-partition multi-partition commit
 // orders must agree.
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "kv/kv_procedures.h"
@@ -14,12 +15,9 @@ namespace partdb {
 namespace {
 
 KvRun RunKvSim(const KvWorkloadOptions& mb, const std::string& scheme, uint64_t seed,
-               Duration warmup, Duration measure, bool log_commits = false,
-               int replication = 1, bool backups_execute = false) {
+               Duration warmup, Duration measure, bool log_commits = false) {
   DbOptions opts = KvDbOptions(mb, scheme, RunMode::kSimulated, seed);
   opts.log_commits = log_commits;
-  opts.replication = replication;
-  opts.backups_execute = backups_execute;
   return RunKvClosedLoop(std::move(opts), mb, warmup, measure);
 }
 
@@ -170,8 +168,10 @@ TEST(Integration, ReplicationBackupsConverge) {
   mb.mp_fraction = 0.3;
   mb.abort_prob = 0.05;
 
-  KvRun run = RunKvSim(mb, "speculation", 77, Micros(10000), Micros(80000),
-                       /*log_commits=*/false, /*replication=*/2, /*backups_execute=*/true);
+  DbOptions opts = KvDbOptions(mb, "speculation", RunMode::kSimulated, 77);
+  opts.replication = 2;
+  opts.backups_execute = true;
+  KvRun run = RunKvClosedLoop(std::move(opts), mb, Micros(10000), Micros(80000));
   EXPECT_GT(run.metrics.completions(), 100u);
 
   for (PartitionId p = 0; p < 2; ++p) {
@@ -180,6 +180,63 @@ TEST(Integration, ReplicationBackupsConverge) {
         << "backup of partition " << p << " diverged";
   }
 }
+
+// Every registered scheme ships its commit stream to k-1 = 2 executing
+// backups; both must end in the primary's state. The simulated cases cover
+// 1- and 2-round multi-partition transactions with user aborts (prepare,
+// commit and abort all reach the backups). The parallel cases add read-only
+// transactions, so mvcc's snapshot single-partition commits are shipped too.
+struct BackupParam {
+  std::string scheme;
+  RunMode mode;
+  int mp_rounds;
+};
+
+std::string BackupParamName(const ::testing::TestParamInfo<BackupParam>& info) {
+  const BackupParam& p = info.param;
+  return p.scheme + (p.mode == RunMode::kSimulated ? "_sim_r" : "_par_r") +
+         std::to_string(p.mp_rounds);
+}
+
+std::vector<BackupParam> BackupParams() {
+  std::vector<BackupParam> out;
+  for (const std::string& s : CcSchemeRegistry::Global().Names()) {
+    out.push_back({s, RunMode::kSimulated, 1});
+    out.push_back({s, RunMode::kSimulated, 2});
+    out.push_back({s, RunMode::kParallel, 1});
+  }
+  return out;
+}
+
+class BackupConvergence : public ::testing::TestWithParam<BackupParam> {};
+
+TEST_P(BackupConvergence, EveryBackupMatchesPrimary) {
+  const BackupParam& param = GetParam();
+  KvWorkloadOptions mb;
+  mb.num_partitions = 2;
+  mb.num_clients = 8;
+  mb.mp_fraction = 0.3;
+  mb.abort_prob = 0.05;
+  mb.mp_rounds = param.mp_rounds;
+  if (param.mode == RunMode::kParallel) mb.read_only_fraction = 0.5;
+
+  DbOptions opts = KvDbOptions(mb, param.scheme, param.mode, 77);
+  opts.replication = 3;
+  opts.backups_execute = true;
+  KvRun run = RunKvClosedLoop(std::move(opts), mb, Micros(10000), Micros(80000));
+  EXPECT_GT(run.metrics.completions(), 100u) << run.metrics.Summary();
+
+  Cluster& cluster = run.db->cluster();
+  for (PartitionId p = 0; p < mb.num_partitions; ++p) {
+    for (int b = 0; b < 2; ++b) {
+      EXPECT_EQ(cluster.engine(p).StateHash(), cluster.backup_engine(p, b).StateHash())
+          << "backup " << b << " of partition " << p << " diverged";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, BackupConvergence, ::testing::ValuesIn(BackupParams()),
+                         BackupParamName);
 
 TEST(Integration, DeterministicAcrossRuns) {
   auto run = [](uint64_t seed) {

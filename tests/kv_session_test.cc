@@ -6,6 +6,7 @@
 // transactions, fig 10 local-only speculation, and the Table 2 calibration
 // probes), plus the explicit closed-loop seed story and the per-procedure
 // outcome metrics.
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -25,6 +26,7 @@ struct KvFigConfig {
   bool local_spec = false;
   bool force_locks = false;
   bool force_undo = false;
+  int replication = 1;
 };
 
 KvWorkloadOptions FigWorkload(const KvFigConfig& c) {
@@ -45,6 +47,7 @@ Metrics RunFig(const KvFigConfig& c, const std::string& scheme, uint64_t seed = 
   DbOptions opts = KvDbOptions(mb, scheme, RunMode::kSimulated, seed);
   opts.local_speculation_only = c.local_spec;
   opts.force_locks = c.force_locks;
+  opts.replication = c.replication;
   auto db = Database::Open(std::move(opts));
   ClosedLoopOptions loop;
   loop.num_clients = mb.num_clients;
@@ -158,6 +161,55 @@ TEST(KvSessionParity, SimFigureMetricsMatchSeedHarness) {
     }
   }
   EXPECT_EQ(g, std::size(kFigGoldens));
+}
+
+// --- replication ablation parity ---------------------------------------------
+//
+// bench_ablation_replication's cells (fig 4's 10% mix at k = 2 and k = 3):
+// every vote and single-partition result waits for backup acks, so these pin
+// the simulated shipping charge (message count, bytes, backup apply CPU) of
+// the commit stream.
+
+struct ReplicationGolden {
+  const char* name;
+  uint64_t committed, sp_committed, mp_committed;
+  Duration partition_busy_ns, coord_busy_ns;
+  int64_t sp_p50_ns;  // speculation only (0 for the other schemes), rounded
+};
+
+const ReplicationGolden kReplicationGoldens[] = {
+    {"k2_speculation", 2207, 1993, 214, 187833400, 20900000, 1856411},
+    {"k2_blocking", 1712, 1555, 157, 131284300, 15510000, 0},
+    {"k2_locking", 2049, 1854, 195, 194416920, 0, 0},
+    {"k3_speculation", 2060, 1862, 198, 190040200, 19520000, 1958260},
+    {"k3_blocking", 1640, 1491, 149, 138035600, 14586000, 0},
+    {"k3_locking", 1901, 1721, 180, 193446400, 0, 0},
+};
+
+TEST(KvSessionParity, ReplicationAblationMatchesSeedHarness) {
+  size_t g = 0;
+  for (int k : {2, 3}) {
+    for (const char* scheme : {"speculation", "blocking", "locking"}) {
+      ASSERT_LT(g, std::size(kReplicationGoldens));
+      const ReplicationGolden& golden = kReplicationGoldens[g++];
+      const std::string name = "k" + std::to_string(k) + "_" + scheme;
+      ASSERT_EQ(name, golden.name);
+
+      KvFigConfig c;
+      c.mp = 0.10;
+      c.replication = k;
+      Metrics m = RunFig(c, scheme);
+      const int64_t p50 =
+          std::string(scheme) == "speculation" ? std::llround(m.sp_latency.Percentile(50)) : 0;
+      EXPECT_EQ(m.committed, golden.committed) << name;
+      EXPECT_EQ(m.sp_committed, golden.sp_committed) << name;
+      EXPECT_EQ(m.mp_committed, golden.mp_committed) << name;
+      EXPECT_EQ(m.partition_busy_ns, golden.partition_busy_ns) << name;
+      EXPECT_EQ(m.coord_busy_ns, golden.coord_busy_ns) << name;
+      EXPECT_EQ(p50, golden.sp_p50_ns) << name;
+    }
+  }
+  EXPECT_EQ(g, std::size(kReplicationGoldens));
 }
 
 // --- explicit closed-loop seed ----------------------------------------------

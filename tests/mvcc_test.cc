@@ -79,7 +79,7 @@ TEST(MvccScheme, SpFastPathWhenIdle) {
   EXPECT_EQ(cc.commit_ts(), 1u);
   // The fast path involves no version machinery at all.
   EXPECT_EQ(part.metrics().mvcc_snapshot_reads, 0u);
-  ASSERT_EQ(part.log.size(), 1u);
+  ASSERT_EQ(part.Committed().size(), 1u);
 }
 
 // The headline property: a read-only transaction arriving while a
@@ -109,9 +109,9 @@ TEST(MvccScheme, ReadOnlySpNeverBlocksBehindStalledMp) {
   // Commit-log order matches the serialization order: the snapshot reader
   // serializes before the still-pending MP.
   cc.OnDecision(DecisionMessage{100, 0, true});
-  ASSERT_EQ(part.log.size(), 2u);
-  EXPECT_EQ(part.log[0].txn_id, 101u);
-  EXPECT_EQ(part.log[1].txn_id, 100u);
+  ASSERT_EQ(part.Committed().size(), 2u);
+  EXPECT_EQ(part.Committed()[0].txn_id, 101u);
+  EXPECT_EQ(part.Committed()[1].txn_id, 100u);
   EXPECT_TRUE(cc.Idle());
 }
 
@@ -149,9 +149,9 @@ TEST(MvccScheme, ConflictingWriterWaitsForDecision) {
   // The writer observed the MP's committed write.
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], 1u);
   EXPECT_EQ(ValueOf(part, 0, 0), 2u);
-  ASSERT_EQ(part.log.size(), 2u);
-  EXPECT_EQ(part.log[0].txn_id, 100u);
-  EXPECT_EQ(part.log[1].txn_id, 101u);
+  ASSERT_EQ(part.Committed().size(), 2u);
+  EXPECT_EQ(part.Committed()[0].txn_id, 100u);
+  EXPECT_EQ(part.Committed()[1].txn_id, 101u);
   EXPECT_TRUE(cc.Idle());
 }
 
@@ -208,8 +208,8 @@ TEST(MvccScheme, AbortRollsBackVersionsAndServesWaiters) {
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], 0u);  // MP write gone
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);  // only the SP's increment
-  ASSERT_EQ(part.log.size(), 1u);      // the aborted MP is not in the log
-  EXPECT_EQ(part.log[0].txn_id, 101u);
+  ASSERT_EQ(part.Committed().size(), 1u);      // the aborted MP is not in the log
+  EXPECT_EQ(part.Committed()[0].txn_id, 101u);
   EXPECT_EQ(cc.retained_version_records(), 0u);
   EXPECT_TRUE(cc.Idle());
 }
@@ -232,9 +232,9 @@ TEST(MvccScheme, QueuedMpsRunInFifoOrder) {
 
   cc.OnDecision(DecisionMessage{102, 0, true});
   EXPECT_TRUE(cc.Idle());
-  ASSERT_EQ(part.log.size(), 2u);
-  EXPECT_EQ(part.log[0].txn_id, 100u);
-  EXPECT_EQ(part.log[1].txn_id, 102u);
+  ASSERT_EQ(part.Committed().size(), 2u);
+  EXPECT_EQ(part.Committed()[0].txn_id, 100u);
+  EXPECT_EQ(part.Committed()[1].txn_id, 102u);
 }
 
 TEST(MvccScheme, MultiRoundMpServesSnapshotReadsBetweenRounds) {
@@ -266,10 +266,10 @@ TEST(MvccScheme, MultiRoundMpServesSnapshotReadsBetweenRounds) {
 
   cc.OnDecision(DecisionMessage{100, 0, true});
   EXPECT_TRUE(cc.Idle());
-  ASSERT_EQ(part.log.size(), 2u);
-  EXPECT_EQ(part.log[0].txn_id, 101u);
-  EXPECT_EQ(part.log[1].txn_id, 100u);
-  ASSERT_EQ(part.log[1].round_inputs.size(), 2u);  // both rounds recorded
+  ASSERT_EQ(part.Committed().size(), 2u);
+  EXPECT_EQ(part.Committed()[0].txn_id, 101u);
+  EXPECT_EQ(part.Committed()[1].txn_id, 100u);
+  ASSERT_EQ(part.Committed()[1].round_inputs.size(), 2u);  // both rounds recorded
 }
 
 // GC invariant: retained version records equal the pending transaction's
@@ -324,7 +324,7 @@ TEST(MvccScheme, SelfAbortingSpRollsBackOnFastPath) {
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_FALSE(resp[0].committed);
   EXPECT_EQ(ValueOf(part, 0, 0), 0u);
-  EXPECT_TRUE(part.log.empty());
+  EXPECT_TRUE(part.Committed().empty());
   EXPECT_EQ(cc.commit_ts(), 0u);
 }
 

@@ -155,7 +155,7 @@ TEST(OccScheme, CommitPathMatchesSpeculation) {
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], 1u);  // saw head's write
   EXPECT_EQ(ValueOf(part, 0), 2u);
-  ASSERT_EQ(part.log.size(), 2u);
+  ASSERT_EQ(part.Committed().size(), 2u);
 }
 
 // End-to-end: OCC must satisfy the same serializability contract as the

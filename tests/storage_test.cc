@@ -88,9 +88,11 @@ TEST(BPlusTree, MetersNodeVisits) {
   EXPECT_GE(m.index_nodes, 4u);
 }
 
+// Every field is 8 bytes wide so the struct has no padding: gtest names each
+// case by dumping the param's bytes, and padding would make those names vary.
 struct BTreeParam {
   uint64_t seed;
-  int ops;
+  uint64_t ops;
   uint64_t key_space;
 };
 
@@ -102,7 +104,7 @@ TEST_P(BTreeRandomized, MatchesReferenceModel) {
   std::map<uint64_t, uint64_t> ref;
   Rng rng(param.seed);
 
-  for (int i = 0; i < param.ops; ++i) {
+  for (uint64_t i = 0; i < param.ops; ++i) {
     const uint64_t k = rng.Uniform(param.key_space);
     switch (rng.Uniform(4)) {
       case 0:
